@@ -119,12 +119,8 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	co, err := coarsen.Coarsen(g)
-	if err != nil {
-		return nil, err
-	}
 	if opts.Pipeline != nil {
-		return partitionHybrid(g, k, co, opts)
+		return partitionHybrid(g, k, opts)
 	}
 	search := opts.Search
 	if search.Topology == nil && opts.Topology != nil && int64(opts.Topology.NumGPUs()) == k {
@@ -167,9 +163,9 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 		Memory:     memplan.Plan(sh, opts.Mem),
 		SearchTime: elapsed,
 		Search:     *search.Stats,
-		Frontier:   co.MaxFrontier(),
-		Groups:     len(co.Groups),
-		Vars:       len(co.Vars),
+		Frontier:   search.Stats.MaxFrontier,
+		Groups:     search.Stats.Groups,
+		Vars:       search.Stats.Vars,
 		Degraded:   p.Degraded,
 	}, nil
 }
@@ -177,12 +173,19 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 // partitionHybrid is the Options.Pipeline branch of Partition: the joint
 // search stages the graph across a slow interconnect level and partitions
 // within each stage.
-func partitionHybrid(g *graph.Graph, k int64, co *coarsen.Coarse, opts Options) (*Summary, error) {
+func partitionHybrid(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	if opts.Search.StrategyFilter != nil || opts.Search.Factors != nil || opts.Search.TopologyNaive {
 		return nil, fmt.Errorf("core: pipeline search does not compose with strategy filters, explicit factors or naive ordering")
 	}
 	if opts.Topology == nil {
 		return nil, fmt.Errorf("core: pipeline search needs a hierarchical topology")
+	}
+	// hybrid.Stats does not report the whole graph's coarsened size, so this
+	// branch still coarsens it for the Summary (flat searches report it
+	// through recursive.SearchStats).
+	co, err := coarsen.Coarsen(g)
+	if err != nil {
+		return nil, err
 	}
 	var st hybrid.Stats
 	start := time.Now()

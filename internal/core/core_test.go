@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"tofu/internal/coarsen"
 	"tofu/internal/models"
 	"tofu/internal/partition"
 	"tofu/internal/recursive"
@@ -123,5 +124,43 @@ func TestPartitionValidatesGraph(t *testing.T) {
 	m.G.Nodes[0], m.G.Nodes[len(m.G.Nodes)-1] = m.G.Nodes[len(m.G.Nodes)-1], m.G.Nodes[0]
 	if _, err := Partition(m.G, 2, DefaultOptions()); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestSummarySearchSpaceMatchesCoarsen: the Summary's coarsened-graph size
+// (reported by the search's own stats on flat and topology-aware searches,
+// coarsened in core on the pipeline branch) equals coarsening the graph
+// directly.
+func TestSummarySearchSpaceMatchesCoarsen(t *testing.T) {
+	m, err := models.MLP(4, 256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := coarsen.Coarsen(m.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := sim.Cluster4x2x8Topology()
+	topoOpts := DefaultOptions()
+	topoOpts.Topology = &cl
+	pipeOpts := topoOpts
+	pipeOpts.Pipeline = &PipelineSpec{}
+	for _, tc := range []struct {
+		name string
+		k    int64
+		opts Options
+	}{
+		{"flat", 8, DefaultOptions()},
+		{"topology", int64(cl.NumGPUs()), topoOpts},
+		{"pipeline", int64(cl.NumGPUs()), pipeOpts},
+	} {
+		s, err := Partition(m.G, tc.k, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if s.Groups != len(co.Groups) || s.Vars != len(co.Vars) || s.Frontier != co.MaxFrontier() {
+			t.Errorf("%s: summary groups/vars/frontier = %d/%d/%d, coarsen gives %d/%d/%d", tc.name,
+				s.Groups, s.Vars, s.Frontier, len(co.Groups), len(co.Vars), co.MaxFrontier())
+		}
 	}
 }

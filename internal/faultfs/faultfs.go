@@ -102,7 +102,8 @@ const (
 
 // Rule is one injected fault: the first Count (0 = unlimited) matching
 // calls after skipping After of them misbehave per Mode. Pattern is a
-// filepath.Match glob tested against the path's base name.
+// filepath.Match glob tested against the path's base name. Read rules
+// match only reads that returned bytes (see Injector.ReadFile).
 type Rule struct {
 	Op      Op
 	Pattern string
@@ -199,18 +200,21 @@ func (i *Injector) MkdirAll(dir string, perm fs.FileMode) error {
 	return i.inner.MkdirAll(dir, perm)
 }
 
+// ReadFile consults the read rules only after the inner read returned
+// bytes: a failed lookup — ENOENT on a store miss — neither fires a rule
+// nor counts toward its After and Count budgets.
 func (i *Injector) ReadFile(path string) ([]byte, error) {
+	data, err := i.inner.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
 	switch i.fault(OpRead, path) {
 	case ModeError:
 		return nil, fmt.Errorf("%w: read %s", ErrInjected, filepath.Base(path))
 	case ModeCorrupt:
-		data, err := i.inner.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
 		return corruptCopy(data), nil
 	}
-	return i.inner.ReadFile(path)
+	return data, nil
 }
 
 func (i *Injector) Create(path string) (File, error) {

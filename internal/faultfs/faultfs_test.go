@@ -58,6 +58,35 @@ func TestInjectorReadModes(t *testing.T) {
 	}
 }
 
+// TestInjectorMissedReadsSpendNoBudget: a read of a missing file (a store
+// miss) passes its ENOENT through and spends none of a rule's After or
+// Count, so the budget lands on bytes actually read.
+func TestInjectorMissedReadsSpendNoBudget(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.plan")
+	if err := os.WriteFile(path, []byte("payload"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inj := New(OS, &Rule{Op: OpRead, Pattern: "*.plan", Mode: ModeCorrupt, Count: 1, After: 1})
+	for i := 0; i < 3; i++ {
+		if _, err := inj.ReadFile(filepath.Join(dir, "missing.plan")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("missing read %d: got %v, want ErrNotExist", i, err)
+		}
+	}
+	if fired := inj.Fired(); fired[0] != 0 {
+		t.Fatalf("missed reads fired the rule: Fired = %v", fired)
+	}
+	if got, err := inj.ReadFile(path); err != nil || string(got) != "payload" {
+		t.Fatalf("first real read (skipped by After): %q, %v", got, err)
+	}
+	if got, err := inj.ReadFile(path); err != nil || string(got) == "payload" {
+		t.Fatalf("second real read should be corrupt: %q, %v", got, err)
+	}
+	if fired := inj.Fired(); fired[0] != 1 {
+		t.Errorf("Fired = %v, want [1]", fired)
+	}
+}
+
 func TestInjectorWriteModes(t *testing.T) {
 	dir := t.TempDir()
 

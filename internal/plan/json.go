@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Export is the stable, serializable form of a partition plan, for tooling
@@ -50,38 +51,333 @@ type strat struct {
 	Dim  int    `json:"dim,omitempty"`
 }
 
-// ToExport converts a plan into its serializable form.
-func (p *Plan) ToExport() Export {
-	ex := Export{Digest: p.Digest, Workers: p.K, Pipeline: p.Pipeline, Degraded: p.Degraded, TotalCommBytes: p.TotalComm()}
-	for _, s := range p.Steps {
-		se := StepExport{
-			Ways: s.K, Multiplier: s.Multiplier, CommBytes: s.CommBytes, Level: s.Level, Stage: s.Stage,
-			TensorCut:  make(map[string]int, len(s.TensorCut)),
-			OpStrategy: make(map[string]strat, len(s.OpStrategy)),
-		}
-		for tid, d := range s.TensorCut {
-			if d >= 0 {
-				se.TensorCut[fmt.Sprint(tid)] = d
-			}
-		}
-		for nid, st := range s.OpStrategy {
-			if st.Axis == "" {
-				continue
-			}
-			se.OpStrategy[fmt.Sprint(nid)] = strat{
-				Kind: st.Kind.String(), Axis: st.Axis, Dim: st.OutDim,
-			}
-		}
-		ex.Steps = append(ex.Steps, se)
+// WriteJSON serializes the plan in its Export form: the bytes
+// encoding/json would produce for the Export (sorted map keys, omitempty
+// fields, two-space indent, trailing newline), written straight from the
+// dense per-step slices. Tensors uncut at a step and nodes without a
+// strategy are left out. A NaN or infinite communication volume is an error,
+// and nothing is written then.
+func (p *Plan) WriteJSON(w io.Writer) error {
+	total := p.TotalComm()
+	if err := p.checkFinite(total); err != nil {
+		return err
 	}
-	return ex
+	e := encoder{w: w, buf: make([]byte, 0, chunkSize)}
+	e.plan(p, total)
+	e.flush()
+	return e.err
 }
 
-// WriteJSON serializes the plan.
-func (p *Plan) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p.ToExport())
+// checkFinite rejects the float values JSON cannot represent before any
+// byte is written.
+func (p *Plan) checkFinite(total float64) error {
+	bad := func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) }
+	for si, s := range p.Steps {
+		if bad(s.CommBytes) {
+			return fmt.Errorf("plan: step %d: comm bytes %g is not encodable as JSON", si, s.CommBytes)
+		}
+	}
+	if bad(total) {
+		return fmt.Errorf("plan: total comm bytes %g is not encodable as JSON", total)
+	}
+	if p.Pipeline != nil {
+		for si, st := range p.Pipeline.Stages {
+			if bad(st.HandoffBytes) {
+				return fmt.Errorf("plan: pipeline stage %d: handoff bytes %g is not encodable as JSON", si, st.HandoffBytes)
+			}
+		}
+	}
+	return nil
+}
+
+// chunkSize is the encoder's buffer capacity: output is appended into one
+// chunk and flushed to the writer whenever the next token might not fit,
+// so the encoder allocates the same amount for any plan size.
+const chunkSize = 32 << 10
+
+// indent holds the spaces for the deepest nesting level a plan reaches (a
+// pipeline stage's group bounds, depth 5).
+const indent = "          "
+
+// encoder appends a plan's JSON into a fixed-capacity chunk. The first
+// write error sticks and turns every later flush into a no-op.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// room flushes the chunk unless n more bytes fit in it.
+func (e *encoder) room(n int) {
+	if len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
+}
+
+func (e *encoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// lit appends literal punctuation or a keyword.
+func (e *encoder) lit(s string) {
+	e.room(len(s))
+	e.buf = append(e.buf, s...)
+}
+
+// line starts a new line at depth, after a separating comma unless first.
+func (e *encoder) line(depth int, first bool) {
+	e.room(2 + 2*depth)
+	if !first {
+		e.buf = append(e.buf, ',')
+	}
+	e.buf = append(e.buf, '\n')
+	e.buf = append(e.buf, indent[:2*depth]...)
+}
+
+// key starts an object member named by one of Export's fixed ASCII field
+// names, which need no escaping.
+func (e *encoder) key(depth int, name string, first bool) {
+	e.line(depth, first)
+	e.room(len(name) + 4)
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, name...)
+	e.buf = append(e.buf, '"', ':', ' ')
+}
+
+// idKey starts a tensor_cut or op_strategy member keyed by a decimal ID.
+func (e *encoder) idKey(depth, id int, first bool) {
+	e.line(depth, first)
+	e.room(24)
+	e.buf = append(e.buf, '"')
+	e.buf = strconv.AppendInt(e.buf, int64(id), 10)
+	e.buf = append(e.buf, '"', ':', ' ')
+}
+
+// end closes an object or array opened at depth-1 whose members sat at
+// depth; an empty one closes on the opening line.
+func (e *encoder) end(depth int, empty bool, closer string) {
+	if !empty {
+		e.line(depth-1, true)
+	}
+	e.lit(closer)
+}
+
+func (e *encoder) int(v int64) {
+	e.room(20)
+	e.buf = strconv.AppendInt(e.buf, v, 10)
+}
+
+// float formats like encoding/json: ES6 number-to-string, i.e. 'f' format
+// except 'e' below 1e-6 or at/above 1e21, with a one-digit negative
+// exponent's leading zero dropped. The caller has rejected NaN and Inf.
+func (e *encoder) float(f float64) {
+	e.room(32)
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
+	if n := len(e.buf); format == 'e' && n >= 4 && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
+		e.buf[n-2] = e.buf[n-1]
+		e.buf = e.buf[:n-1]
+	}
+}
+
+const hexDigits = "0123456789abcdef"
+
+// str appends s quoted and escaped as encoding/json does with HTML escaping
+// on: quote and backslash get a backslash, \b \f \n \r \t their short
+// forms, other control bytes and <, >, & a \u00XX escape, invalid UTF-8
+// bytes \ufffd, and U+2028/U+2029 their \u escapes.
+func (e *encoder) str(s string) {
+	e.lit(`"`)
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			e.room(6)
+			switch {
+			case b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&':
+				e.buf = append(e.buf, b)
+			case b == '"' || b == '\\':
+				e.buf = append(e.buf, '\\', b)
+			case b == '\b':
+				e.buf = append(e.buf, '\\', 'b')
+			case b == '\f':
+				e.buf = append(e.buf, '\\', 'f')
+			case b == '\n':
+				e.buf = append(e.buf, '\\', 'n')
+			case b == '\r':
+				e.buf = append(e.buf, '\\', 'r')
+			case b == '\t':
+				e.buf = append(e.buf, '\\', 't')
+			default:
+				e.buf = append(e.buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			e.lit(`\ufffd`)
+		case c == '\u2028' || c == '\u2029':
+			e.room(6)
+			e.buf = append(e.buf, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			e.lit(s[i : i+size])
+		}
+		i += size
+	}
+	e.lit(`"`)
+}
+
+// plan writes the Export form of p. Field order and omitempty rules follow
+// the Export, StepExport, strat and PipelineInfo declarations.
+func (e *encoder) plan(p *Plan, total float64) {
+	e.lit("{")
+	first := true
+	if p.Digest != "" {
+		e.key(1, "digest", true)
+		e.str(p.Digest)
+		first = false
+	}
+	e.key(1, "workers", first)
+	e.int(p.K)
+	e.key(1, "steps", false)
+	if len(p.Steps) == 0 {
+		e.lit("null")
+	} else {
+		e.lit("[")
+		for i, s := range p.Steps {
+			e.line(2, i == 0)
+			e.step(s)
+		}
+		e.end(2, false, "]")
+	}
+	if pl := p.Pipeline; pl != nil {
+		e.key(1, "pipeline", false)
+		e.pipeline(pl)
+	}
+	if p.Degraded {
+		e.key(1, "degraded", false)
+		e.lit("true")
+	}
+	e.key(1, "total_comm_bytes", false)
+	e.float(total)
+	e.lit("\n}\n")
+}
+
+// step writes one StepExport at depth 2.
+func (e *encoder) step(s *Step) {
+	e.lit("{")
+	e.key(3, "ways", true)
+	e.int(s.K)
+	e.key(3, "multiplier", false)
+	e.int(s.Multiplier)
+	e.key(3, "comm_bytes", false)
+	e.float(s.CommBytes)
+	if s.Level != 0 {
+		e.key(3, "level", false)
+		e.int(int64(s.Level))
+	}
+	if s.Stage != 0 {
+		e.key(3, "stage", false)
+		e.int(int64(s.Stage))
+	}
+	e.key(3, "tensor_cut", false)
+	e.lit("{")
+	empty := true
+	for id := range decimalOrder(len(s.TensorCut)) {
+		if d := s.TensorCut[id]; d >= 0 {
+			e.idKey(4, id, empty)
+			e.int(int64(d))
+			empty = false
+		}
+	}
+	e.end(4, empty, "}")
+	e.key(3, "op_strategy", false)
+	e.lit("{")
+	empty = true
+	for id := range decimalOrder(len(s.OpStrategy)) {
+		st := &s.OpStrategy[id]
+		if st.Axis == "" {
+			continue
+		}
+		e.idKey(4, id, empty)
+		e.lit("{")
+		e.key(5, "kind", true)
+		e.str(st.Kind.String())
+		e.key(5, "axis", false)
+		e.str(st.Axis)
+		if st.OutDim != 0 {
+			e.key(5, "dim", false)
+			e.int(int64(st.OutDim))
+		}
+		e.end(5, false, "}")
+		empty = false
+	}
+	e.end(4, empty, "}")
+	e.end(3, false, "}")
+}
+
+// pipeline writes the PipelineInfo at depth 1.
+func (e *encoder) pipeline(pl *PipelineInfo) {
+	e.lit("{")
+	e.key(2, "level", true)
+	e.int(int64(pl.Level))
+	e.key(2, "stages", false)
+	if pl.Stages == nil {
+		e.lit("null")
+	} else {
+		e.lit("[")
+		for i, st := range pl.Stages {
+			e.line(3, i == 0)
+			e.lit("{")
+			e.key(4, "groups", true)
+			e.lit("[")
+			e.line(5, true)
+			e.int(int64(st.Groups[0]))
+			e.line(5, false)
+			e.int(int64(st.Groups[1]))
+			e.end(5, false, "]")
+			e.key(4, "workers", false)
+			e.int(st.Workers)
+			e.key(4, "handoff_bytes", false)
+			e.float(st.HandoffBytes)
+			e.end(4, false, "}")
+		}
+		e.end(3, len(pl.Stages) == 0, "]")
+	}
+	e.end(2, false, "}")
+}
+
+// decimalOrder yields 0..n-1 in the order of their decimal strings ("0",
+// "1", "10", "100", "11", ..., "2", "20", ...) — the order encoding/json
+// sorts string map keys in — by walking the decimal digit trie in preorder
+// instead of formatting and sorting the keys.
+func decimalOrder(n int) func(yield func(int) bool) {
+	return func(yield func(int) bool) {
+		if n == 0 || !yield(0) {
+			return
+		}
+		// Lexicographic successor over 1..n-1: descend to the first child
+		// when it exists, else climb past exhausted digits and step right.
+		for cur, emitted := 1, 1; emitted < n; emitted++ {
+			if !yield(cur) {
+				return
+			}
+			if cur*10 < n {
+				cur *= 10
+				continue
+			}
+			for cur%10 == 9 || cur+1 >= n {
+				cur /= 10
+			}
+			cur++
+		}
+	}
 }
 
 // ReadJSON parses a serialized plan back into its export form (tensor and

@@ -50,10 +50,11 @@ import (
 	"tofu/internal/topo"
 )
 
-// SearchStats reports the effort of one topology-aware ordering search;
-// Options.Stats receives a copy when non-nil. The plan itself is
-// deterministic at any Parallelism; the node counters can vary slightly
-// with the expansion schedule when Parallelism > 1.
+// SearchStats reports the coarsened search space of one Partition call and
+// the effort of its topology-aware ordering search; Options.Stats receives a
+// copy when non-nil. The plan itself is deterministic at any Parallelism;
+// the node counters can vary slightly with the expansion schedule when
+// Parallelism > 1.
 type SearchStats struct {
 	// Orderings is the search-space size: every distinct factor-to-level
 	// ordering of the machine's pool.
@@ -81,6 +82,12 @@ type SearchStats struct {
 	// byte-identical with or without a seed; only the effort counters move.
 	WarmStart bool    `json:"warm_start,omitempty"`
 	WarmCost  float64 `json:"warm_cost,omitempty"`
+	// Groups and Vars size the coarsened graph the search ran on, and
+	// MaxFrontier is its widest DP frontier (coarsen.Coarse.MaxFrontier).
+	// Unlike the counters above, they are filled in flat mode too.
+	Groups      int `json:"groups"`
+	Vars        int `json:"vars"`
+	MaxFrontier int `json:"max_frontier"`
 }
 
 // prefixState is the per-factor-prefix memo node: the DP result of the

@@ -80,8 +80,9 @@ type Options struct {
 	// either way; this is the differential-test oracle and the
 	// before/after benchmark baseline, not a production mode.
 	TopoExhaustive bool
-	// Stats, when non-nil, receives the ordering-search effort counters of
-	// a topology-aware Partition call (untouched in flat mode).
+	// Stats, when non-nil, receives the coarsened graph's size (every
+	// Partition call) and the ordering-search effort counters (topology-aware
+	// calls only; zero in flat mode).
 	Stats *SearchStats
 	// Trace, if non-nil, records the search's span tree under the given
 	// parent: "coarsen", per-factor "recursive.step" spans (each wrapping
@@ -107,28 +108,29 @@ func Partition(g *graph.Graph, k int64, opts Options) (*plan.Plan, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("recursive: worker count %d invalid", k)
 	}
+	topoSearch := false
 	if opts.Topology != nil {
 		if got := int64(opts.Topology.NumGPUs()); got != k {
 			return nil, fmt.Errorf("recursive: topology %q has %d GPUs, want %d workers",
 				opts.Topology.Name, got, k)
 		}
-		if opts.Topology.Hierarchical() && opts.Factors == nil {
-			return partitionTopo(g, k, *opts.Topology, opts)
-		}
+		topoSearch = opts.Topology.Hierarchical() && opts.Factors == nil
 	}
 	factors := opts.Factors
-	if factors == nil {
-		factors = Factorize(k)
-	}
-	prod := int64(1)
-	for _, f := range factors {
-		if f < 2 {
-			return nil, fmt.Errorf("recursive: factor %d invalid", f)
+	if !topoSearch {
+		if factors == nil {
+			factors = Factorize(k)
 		}
-		prod *= f
-	}
-	if prod != k {
-		return nil, fmt.Errorf("recursive: factors %v do not multiply to %d", factors, k)
+		prod := int64(1)
+		for _, f := range factors {
+			if f < 2 {
+				return nil, fmt.Errorf("recursive: factor %d invalid", f)
+			}
+			prod *= f
+		}
+		if prod != k {
+			return nil, fmt.Errorf("recursive: factors %v do not multiply to %d", factors, k)
+		}
 	}
 
 	csp := opts.Trace.Child("coarsen")
@@ -142,16 +144,22 @@ func Partition(g *graph.Graph, k int64, opts Options) (*plan.Plan, error) {
 	if cache == nil {
 		cache = dp.NewPriceCache()
 	}
-	p, err := runSteps(g, c, k, factors, nil, opts, cache, nil)
-	if err != nil {
-		return nil, err
+	var p *plan.Plan
+	if topoSearch {
+		p, err = partitionTopo(g, c, k, *opts.Topology, opts, cache)
+	} else {
+		p, err = runSteps(g, c, k, factors, nil, opts, cache, nil)
+		if err == nil && opts.Topology != nil {
+			// Explicit-factor searches (EqualChop's single chop) still run on
+			// the real machine: annotate the topology-blind layout.
+			opts.Topology.AssignLevels(p)
+		}
 	}
-	if opts.Topology != nil {
-		// Explicit-factor searches (EqualChop's single chop) still run on
-		// the real machine: annotate the topology-blind layout.
-		opts.Topology.AssignLevels(p)
+	if opts.Stats != nil {
+		// After the engines, which replace the whole struct.
+		opts.Stats.Groups, opts.Stats.Vars, opts.Stats.MaxFrontier = len(c.Groups), len(c.Vars), c.MaxFrontier()
 	}
-	return p, nil
+	return p, err
 }
 
 // runSteps runs the per-factor DP sequence — the body of the recursive
@@ -262,18 +270,9 @@ type factorLevel struct {
 // layout and TopoExhaustive the flat one-DP-run-per-ordering enumeration,
 // both of which choose byte-identical plans to the tree wherever they
 // apply.
-func partitionTopo(g *graph.Graph, k int64, tp topo.Topology, opts Options) (*plan.Plan, error) {
-	csp := opts.Trace.Child("coarsen")
-	c, err := coarsen.Coarsen(g)
-	if err != nil {
-		return nil, err
-	}
-	csp.SetInt("groups", int64(len(c.Groups)))
-	csp.End()
-	cache := opts.Cache
-	if cache == nil {
-		cache = dp.NewPriceCache()
-	}
+func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
+	opts Options, cache *dp.PriceCache) (*plan.Plan, error) {
+
 	pool := topoPool(tp)
 	if opts.TopologyNaive || len(pool) <= 1 {
 		return partitionTopoFlat(g, c, k, tp, opts, cache)

@@ -22,9 +22,10 @@ import (
 // entries and the metrics make the event visible.
 func TestChaosCorruptReadsZeroServerErrors(t *testing.T) {
 	inj := faultfs.New(faultfs.OS,
-		// Every second *.plan read returns flipped bytes: the checksum
-		// must catch each one, quarantine it, and fall through to a
-		// recompute — interleaved with clean reads to cover both paths.
+		// The first six *.plan reads that return bytes come back flipped:
+		// the checksum must catch each one, quarantine it, and fall
+		// through to a recompute; later reads are clean, covering both
+		// paths.
 		&faultfs.Rule{Op: faultfs.OpRead, Pattern: "*.plan", Mode: faultfs.ModeCorrupt, Count: 6})
 	st, err := store.Open(t.TempDir(), store.Options{FS: inj})
 	if err != nil {
@@ -38,6 +39,31 @@ func TestChaosCorruptReadsZeroServerErrors(t *testing.T) {
 	body := func(i int) string {
 		return fmt.Sprintf(`{"model":{"family":"mlp","depth":4,"width":256,"batch":%d}}`, 16<<(i%3))
 	}
+	post := func(i int) int {
+		resp, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(body(i)))
+		if err != nil {
+			t.Errorf("request %d: %v", i, err)
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body) //tofu:allow-errdrop test drain
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Populate the store first, one request per distinct model: the
+	// corrupting rule spends its budget only on reads that return bytes, so
+	// the load phase below must find entries on disk, not misses.
+	for i := 0; i < 3; i++ {
+		if code := post(i); code != http.StatusOK {
+			t.Fatalf("populate request %d: HTTP %d", i, code)
+		}
+	}
+	if fired := inj.Fired(); fired[0] != 0 {
+		t.Fatalf("populate phase read corrupt bytes (Fired = %v); the store should have missed", fired)
+	}
+	if m := st.Stats(); m.Puts != 3 {
+		t.Fatalf("populate phase stored %d entries, want 3", m.Puts)
+	}
+
 	const rounds = 18
 	var wg sync.WaitGroup
 	codes := make([]int, rounds)
@@ -45,14 +71,7 @@ func TestChaosCorruptReadsZeroServerErrors(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(body(i)))
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body) //tofu:allow-errdrop test drain
-			resp.Body.Close()
-			codes[i] = resp.StatusCode
+			codes[i] = post(i)
 		}(i)
 	}
 	wg.Wait()
@@ -79,13 +98,7 @@ func TestChaosCorruptReadsZeroServerErrors(t *testing.T) {
 			snap.StoreCorrupt, snap.StoreQuarantined)
 	}
 	// And the service still works: a fresh identical request serves cleanly.
-	resp, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(body(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //tofu:allow-errdrop test drain
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-chaos request: HTTP %d", resp.StatusCode)
+	if code := post(0); code != http.StatusOK {
+		t.Fatalf("post-chaos request: HTTP %d", code)
 	}
 }

@@ -163,43 +163,59 @@ func TestStoreCorruptEntryRecomputes(t *testing.T) {
 }
 
 func TestTenantQuota(t *testing.T) {
-	gate := make(chan struct{})
+	// One gate per digest, so releasing j1 releases j1: with two workers a
+	// shared gate could hand the release to j3 or j4 instead. The Compute
+	// seam sees only the request, so each digest's request carries its
+	// index in Workers.
+	gates := make(map[int64]chan struct{})
+	for i := int64(1); i <= 5; i++ {
+		gates[i] = make(chan struct{})
+	}
+	reqFor := func(i int) Request {
+		r := fleetRequest()
+		r.Workers = int64(i)
+		return r
+	}
 	s := New(Config{
 		Workers: 2, QueueDepth: 16, TenantQuota: 1,
-		Compute: func(r Request) ([]byte, error) { <-gate; return []byte("p"), nil },
+		Compute: func(r Request) ([]byte, error) { <-gates[r.Workers]; return []byte("p"), nil },
 	})
-	defer func() { close(gate); s.Shutdown(context.Background()) }()
+	defer func() {
+		for _, g := range gates {
+			close(g)
+		}
+		s.Shutdown(context.Background())
+	}()
 
-	req := fleetRequest()
-	j1, _, err := s.SubmitTenant(req, testDigest(1), "acme")
+	j1, _, err := s.SubmitTenant(reqFor(1), testDigest(1), "acme")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same tenant, second distinct search: over quota, even though the
 	// global queue has plenty of room.
-	if _, _, err := s.SubmitTenant(req, testDigest(2), "acme"); !errors.Is(err, ErrTenantQuota) {
+	if _, _, err := s.SubmitTenant(reqFor(2), testDigest(2), "acme"); !errors.Is(err, ErrTenantQuota) {
 		t.Fatalf("want ErrTenantQuota, got %v", err)
 	}
 	// A different tenant and the anonymous path are unaffected.
-	if _, _, err := s.SubmitTenant(req, testDigest(3), "other"); err != nil {
+	if _, _, err := s.SubmitTenant(reqFor(3), testDigest(3), "other"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Submit(req, testDigest(4)); err != nil {
+	if _, _, err := s.Submit(reqFor(4), testDigest(4)); err != nil {
 		t.Fatal(err)
 	}
 	// Joining an in-flight search never counts against the quota.
-	if _, kind, err := s.SubmitTenant(req, testDigest(1), "acme"); err != nil || kind != SubmitJoined {
+	if _, kind, err := s.SubmitTenant(reqFor(1), testDigest(1), "acme"); err != nil || kind != SubmitJoined {
 		t.Fatalf("join: kind=%v err=%v", kind, err)
 	}
 	if m := s.Metrics(); m.TenantRejected != 1 {
 		t.Fatalf("tenant_rejected = %d, want 1", m.TenantRejected)
 	}
 	// Releasing the running job frees the tenant's slot.
-	gate <- struct{}{}
+	gates[1] <- struct{}{}
 	<-j1.Done()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, err := s.SubmitTenant(req, testDigest(5), "acme"); err == nil {
+		if _, _, err := s.SubmitTenant(reqFor(5), testDigest(5), "acme"); err == nil {
 			break
 		} else if !errors.Is(err, ErrTenantQuota) {
 			t.Fatal(err)

@@ -605,13 +605,15 @@ func (s *Service) run(j *Job) {
 	// A degraded plan is a real, valid answer — but not the proven optimum,
 	// so it is served to its callers and never written into the cache or the
 	// store: the next identical request re-runs the search for a chance at
-	// the full result instead of pinning the incumbent forever.
+	// the full result instead of pinning the incumbent forever. The parse
+	// guards against a Compute seam returning non-plan bytes, which are
+	// served but neither persisted nor indexed.
 	degraded := false
 	if err == nil {
 		if ex, perr := plan.ReadJSON(bytes.NewReader(val)); perr == nil {
 			degraded = ex.Degraded
 			if !degraded {
-				s.persist(j, val)
+				s.persist(j, ex, val)
 			}
 		}
 	}
@@ -665,16 +667,11 @@ func (s *Service) run(j *Job) {
 	close(j.done)
 }
 
-// persist writes a finished plan through to the persistent store (when
-// configured) and feeds the warm-start neighbor index. Both are best-effort
-// accelerators: the parse guards against a Compute seam returning non-plan
-// bytes, and a store write failure costs the fleet a future recompute, not
-// this request.
-func (s *Service) persist(j *Job, val []byte) {
-	ex, err := plan.ReadJSON(bytes.NewReader(val))
-	if err != nil {
-		return
-	}
+// persist writes a finished plan — val, parsed as ex — through to the
+// persistent store (when configured) and feeds the warm-start neighbor
+// index. Both are best-effort accelerators: a store write failure costs the
+// fleet a future recompute, not this request.
+func (s *Service) persist(j *Job, ex plan.Export, val []byte) {
 	md, err := modelDigest(j.req.Model)
 	if err != nil {
 		return

@@ -38,6 +38,12 @@ type Options struct {
 // bound.
 const maxQuarantinePerEntry = 4
 
+// seq disambiguates temp and quarantine file names within one process; the
+// PID in a temp name disambiguates processes sharing the directory. It is
+// process-wide, not per Store, because two handles in one process share the
+// PID: per-handle counters collided on the same temp name.
+var seq atomic.Int64
+
 // Store is a content-addressed plan store rooted at one directory: entry
 // files named <64 hex>.plan (the digest without its "sha256:" prefix),
 // written via temp-file-plus-rename so readers — including other replicas
@@ -53,10 +59,6 @@ type Store struct {
 	corrupt     atomic.Int64
 	quarantined atomic.Int64
 	putErrors   atomic.Int64
-
-	// seq disambiguates concurrent temp files within one process; the PID
-	// in the name disambiguates across replicas sharing the directory.
-	seq atomic.Int64
 
 	// quarantineMu serializes quarantine renames so two readers hitting the
 	// same corrupt entry don't race each other's os.Rename.
@@ -103,7 +105,7 @@ func (s *Store) Put(meta Meta, planBytes []byte) error {
 		s.putErrors.Add(1)
 		return err
 	}
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), s.seq.Add(1))
+	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), seq.Add(1))
 	if err := s.writeFile(tmp, data); err != nil {
 		s.putErrors.Add(1)
 		return fmt.Errorf("store: %w", err)
@@ -212,7 +214,7 @@ func (s *Store) quarantine(path string) {
 		_ = s.opts.FS.Remove(path) //tofu:allow-errdrop best-effort cap enforcement; a survivor is re-quarantined on the next read
 		return
 	}
-	dst := fmt.Sprintf("%s.corrupt.%d", path, s.seq.Add(1))
+	dst := fmt.Sprintf("%s.corrupt.%d", path, seq.Add(1))
 	if err := s.opts.FS.Rename(path, dst); err != nil {
 		// Lost a race with another quarantiner or the file vanished; the
 		// next Get simply misses.

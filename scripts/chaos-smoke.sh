@@ -65,6 +65,9 @@ BODY3='{"model":{"family":"mlp","depth":4,"width":256,"batch":16}}'
 
 "$BIN" -addr 127.0.0.1:0 -store "$STORE_DIR" >"$LOG_A" 2>&1 &
 A_PID=$!
+# B's store lookups that miss spend none of the corrupt:2 budget (faultfs
+# counts only reads that return bytes), so both corruptions land on real
+# entries: A's BODY1 entry first, then the next entry B finds on disk.
 "$BIN" -addr 127.0.0.1:0 -store "$STORE_DIR" -faultfs 'read:*.plan:corrupt:2' >"$LOG_B" 2>&1 &
 B_PID=$!
 ADDR_A=$(wait_addr "$LOG_A")
