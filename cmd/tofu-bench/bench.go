@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/recursive"
 	"tofu/internal/topo"
@@ -156,14 +157,14 @@ func runSearchBenchmarks(outPath string, short bool, baselinePath string) error 
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := recursive.Partition(m.G, k, recursive.Options{Topology: &tp, Parallelism: 1, Stats: &st}); err != nil {
+				if _, err := recursive.Partition(m.G, k, recursive.Options{Topology: &tp, Settings: dp.Settings{Parallelism: 1}, Stats: &st}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		runtime.ReadMemStats(&ms1)
 		flatStart := time.Now()
-		if _, err := recursive.Partition(m.G, k, recursive.Options{Topology: &tp, Parallelism: 1, TopoExhaustive: true}); err != nil {
+		if _, err := recursive.Partition(m.G, k, recursive.Options{Topology: &tp, Settings: dp.Settings{Parallelism: 1}, TopoExhaustive: true}); err != nil {
 			return fmt.Errorf("flat enumeration on %s: %w", tc.prof, err)
 		}
 		flatNs := float64(time.Since(flatStart).Nanoseconds())

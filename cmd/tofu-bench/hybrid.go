@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tofu/internal/dp"
 	"tofu/internal/hybrid"
 	"tofu/internal/models"
 	"tofu/internal/topo"
@@ -80,7 +81,7 @@ func runHybridExperiment(outPath string) (string, error) {
 		k := int64(tp.NumGPUs())
 		// Parallelism 1 keeps the expansion schedule — and therefore the
 		// recorded counters — deterministic across machines.
-		opts := hybrid.Options{Topology: &tp, Level: c.level, Parallelism: 1}
+		opts := hybrid.Options{Topology: &tp, Level: c.level, Settings: dp.Settings{Parallelism: 1}}
 		var st hybrid.Stats
 		opts.Stats = &st
 		var res *hybrid.Result
@@ -98,7 +99,7 @@ func runHybridExperiment(outPath string) (string, error) {
 		}
 		oracleStart := time.Now()
 		oracle, err := hybrid.Partition(m.G, k, hybrid.Options{
-			Topology: &tp, Level: c.level, Parallelism: 1, Exhaustive: true,
+			Topology: &tp, Level: c.level, Settings: dp.Settings{Parallelism: 1}, Exhaustive: true,
 		})
 		oracleNs := float64(time.Since(oracleStart).Nanoseconds())
 		if err != nil {
@@ -183,7 +184,7 @@ func runHybridRows() ([]BenchRecord, []string, error) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := hybrid.Partition(m.G, k, hybrid.Options{
-					Topology: &tp, Level: c.level, Parallelism: 1, Stats: &st,
+					Topology: &tp, Level: c.level, Settings: dp.Settings{Parallelism: 1}, Stats: &st,
 				}); err != nil {
 					benchErr = err
 					b.Fatal(err)

@@ -38,7 +38,7 @@ import (
 	"time"
 
 	"tofu/internal/experiments"
-	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 func main() {
@@ -148,7 +148,7 @@ func main() {
 			fatalf("hybrid: %v", err)
 		}
 		hopts := experiments.Opts{Quick: *quick, FlatBudget: *budget, Parallelism: *parallel}
-		htopo, err := sim.ResolveTopology(*hwArg)
+		htopo, err := topo.ResolveTopology(*hwArg)
 		if err != nil {
 			fatal(err)
 		}
@@ -161,7 +161,7 @@ func main() {
 	}
 
 	opts := experiments.Opts{Quick: *quick, FlatBudget: *budget, Parallelism: *parallel}
-	topo, err := sim.ResolveTopology(*hwArg)
+	tp, err := topo.ResolveTopology(*hwArg)
 	if err != nil {
 		fatal(err)
 	}
@@ -171,16 +171,16 @@ func main() {
 		run  func() (string, error)
 	}
 	drivers := []driver{
-		{"table1", func() (string, error) { return experiments.Table1(opts, topo) }},
+		{"table1", func() (string, error) { return experiments.Table1(opts, tp) }},
 		{"table2", func() (string, error) { return experiments.Table2(opts) }},
-		{"table3", func() (string, error) { return experiments.Table3(opts, topo) }},
-		{"fig8", func() (string, error) { return experiments.Figure8(opts, topo) }},
-		{"fig9", func() (string, error) { return experiments.Figure9(opts, topo) }},
-		{"fig10", func() (string, error) { return experiments.Figure10(opts, topo) }},
+		{"table3", func() (string, error) { return experiments.Table3(opts, tp) }},
+		{"fig8", func() (string, error) { return experiments.Figure8(opts, tp) }},
+		{"fig9", func() (string, error) { return experiments.Figure9(opts, tp) }},
+		{"fig10", func() (string, error) { return experiments.Figure10(opts, tp) }},
 		{"fig11", func() (string, error) { return experiments.Figure11(opts) }},
-		{"ablations", func() (string, error) { return experiments.Ablations(opts, topo) }},
-		{"crosstopo", func() (string, error) { return experiments.CrossTopology(opts, topo) }},
-		{"orderings", func() (string, error) { return experiments.Orderings(opts, topo) }},
+		{"ablations", func() (string, error) { return experiments.Ablations(opts, tp) }},
+		{"crosstopo", func() (string, error) { return experiments.CrossTopology(opts, tp) }},
+		{"orderings", func() (string, error) { return experiments.Orderings(opts, tp) }},
 	}
 
 	ran := false

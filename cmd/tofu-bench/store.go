@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/recursive"
 	"tofu/internal/service"
@@ -211,7 +212,7 @@ func runWarmStartRows() ([]BenchRecord, []string, error) {
 		// Parallelism 1 keeps the expansion schedule — and therefore the
 		// gated step counters — deterministic across machines.
 		var cold recursive.SearchStats
-		p, err := recursive.Partition(m.G, k, recursive.Options{Topology: &tp, Parallelism: 1, Stats: &cold})
+		p, err := recursive.Partition(m.G, k, recursive.Options{Topology: &tp, Settings: dp.Settings{Parallelism: 1}, Stats: &cold})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: cold: %w", c.prof, err)
 		}
@@ -231,7 +232,7 @@ func runWarmStartRows() ([]BenchRecord, []string, error) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := recursive.Partition(m.G, k, recursive.Options{
-					Topology: &tp, Parallelism: 1, Stats: &warm,
+					Topology: &tp, Settings: dp.Settings{Parallelism: 1}, Stats: &warm,
 					WarmStart: warmSeed,
 				}); err != nil {
 					benchErr = err

@@ -12,7 +12,6 @@ import (
 
 	"tofu"
 	"tofu/internal/models"
-	"tofu/internal/recursive"
 )
 
 func main() {
@@ -24,7 +23,7 @@ func main() {
 		m.Name, len(m.G.Nodes), float64(m.WeightBytes3x())/(1<<30))
 
 	opts := tofu.DefaultPipelineOptions()
-	opts.Search = recursive.Options{MaxStates: 512}
+	opts.Search.MaxStates = 512
 	s, err := tofu.PartitionWithOptions(m.G, 8, opts)
 	if err != nil {
 		log.Fatal(err)

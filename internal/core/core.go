@@ -20,6 +20,7 @@ import (
 	"tofu/internal/plan"
 	"tofu/internal/recursive"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // Options configure the pipeline.
@@ -32,7 +33,7 @@ type Options struct {
 	Mem memplan.Options
 	// Topology overrides the simulated machine (DefaultTopology when nil)
 	// and, when hierarchical, switches the search into topology-aware mode.
-	Topology *sim.Topology
+	Topology *topo.Topology
 	// Pipeline, when non-nil, switches Partition into the joint
 	// hybrid-parallelism search: pipeline stages across a slow interconnect
 	// level, the partition DP inside each stage. Requires a hierarchical
@@ -66,19 +67,12 @@ type PipelineSpec struct {
 	Exhaustive bool
 }
 
-// SetHW is the flat-machine compatibility setter: it wraps an HW into a
-// single-level topology.
-func (o *Options) SetHW(hw sim.HW) {
-	t := sim.FlatTopology(hw)
-	o.Topology = &t
-}
-
 // topology resolves the effective machine.
-func (o Options) topology() sim.Topology {
+func (o Options) topology() topo.Topology {
 	if o.Topology != nil {
 		return *o.Topology
 	}
-	return sim.DefaultTopology()
+	return topo.DefaultTopology()
 }
 
 // DefaultOptions matches the full system.
@@ -119,6 +113,14 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	// The pipeline-wide trace and deadline reach the search (and through it
+	// every layer below) unless the caller set the search's own.
+	if opts.Search.Trace == nil {
+		opts.Search.Trace = opts.Trace
+	}
+	if opts.Search.Cancel == nil {
+		opts.Search.Cancel = opts.Cancel
+	}
 	if opts.Pipeline != nil {
 		return partitionHybrid(g, k, opts)
 	}
@@ -132,12 +134,6 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	}
 	if search.Stats == nil {
 		search.Stats = &recursive.SearchStats{}
-	}
-	if search.Trace == nil {
-		search.Trace = opts.Trace
-	}
-	if search.Cancel == nil {
-		search.Cancel = opts.Cancel
 	}
 	start := time.Now()
 	p, err := recursive.Partition(g, k, search)
@@ -174,8 +170,8 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 // search stages the graph across a slow interconnect level and partitions
 // within each stage.
 func partitionHybrid(g *graph.Graph, k int64, opts Options) (*Summary, error) {
-	if opts.Search.StrategyFilter != nil || opts.Search.Factors != nil || opts.Search.TopologyNaive {
-		return nil, fmt.Errorf("core: pipeline search does not compose with strategy filters, explicit factors or naive ordering")
+	if opts.Search.Factors != nil || opts.Search.TopologyNaive {
+		return nil, fmt.Errorf("core: pipeline search does not compose with explicit factors or naive ordering")
 	}
 	if opts.Topology == nil {
 		return nil, fmt.Errorf("core: pipeline search needs a hierarchical topology")
@@ -187,20 +183,13 @@ func partitionHybrid(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	var st hybrid.Stats
 	start := time.Now()
 	res, err := hybrid.Partition(g, k, hybrid.Options{
-		Topology:    opts.Topology,
-		Level:       opts.Pipeline.Level,
-		DType:       opts.Search.DType,
-		MaxStates:   opts.Search.MaxStates,
-		Parallelism: opts.Search.Parallelism,
-		Gen:         opts.Gen,
-		Cache:       opts.Search.Cache,
-		Exhaustive:  opts.Pipeline.Exhaustive,
-		Stats:       &st,
-		Trace:       opts.Trace,
-		Cancel:      opts.Cancel,
+		Settings:   opts.Search.Settings,
+		Topology:   opts.Topology,
+		Level:      opts.Pipeline.Level,
+		Gen:        opts.Gen,
+		Exhaustive: opts.Pipeline.Exhaustive,
 	})
 	if err != nil {
 		return nil, err

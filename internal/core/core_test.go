@@ -1,13 +1,16 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"tofu/internal/coarsen"
+	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/partition"
 	"tofu/internal/recursive"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 func TestPartitionEndToEnd(t *testing.T) {
@@ -44,8 +47,10 @@ func TestPartitionWithRestrictedSearch(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Search = recursive.Options{
-		StrategyFilter: func(st partition.Strategy) bool {
-			return st.Kind != partition.SplitReduce
+		Settings: dp.Settings{
+			StrategyFilter: func(st partition.Strategy) bool {
+				return st.Kind != partition.SplitReduce
+			},
 		},
 	}
 	s, err := Partition(m.G, 4, opts)
@@ -70,10 +75,11 @@ func TestSimulateWithCustomHW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := sim.DefaultHW()
+	fast := topo.DefaultHW()
 	fast.PeakFLOPS *= 10
+	tp := topo.FlatTopology(fast)
 	opts := DefaultOptions()
-	opts.SetHW(fast)
+	opts.Topology = &tp
 	quick := Simulate(s, m.Batch, opts, sim.RunOptions{})
 	slow := Simulate(s, m.Batch, DefaultOptions(), sim.RunOptions{})
 	if quick.IterSeconds >= slow.IterSeconds {
@@ -91,7 +97,7 @@ func TestSubMachinePlanGetsBlindLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := sim.Cluster2x8Topology()
+	cl := topo.Cluster2x8Topology()
 	opts := DefaultOptions()
 	opts.Topology = &cl
 	s, err := Partition(m.G, 8, opts)
@@ -127,6 +133,37 @@ func TestPartitionValidatesGraph(t *testing.T) {
 	}
 }
 
+// TestPipelineRejectsNonComposingSearch: the joint pipeline search runs the
+// full recursive search inside every stage, so search restrictions that only
+// make sense for one whole-machine chain are refused, not silently dropped.
+func TestPipelineRejectsNonComposingSearch(t *testing.T) {
+	m, err := models.MLP(4, 256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := topo.Cluster2x8Topology()
+	for _, tc := range []struct {
+		name   string
+		search recursive.Options
+		want   string
+	}{
+		{"factors", recursive.Options{Factors: []int64{16}}, "explicit factors"},
+		{"naive", recursive.Options{TopologyNaive: true}, "naive ordering"},
+		{"filter", recursive.Options{Settings: dp.Settings{
+			StrategyFilter: func(st partition.Strategy) bool { return st.Kind != partition.SplitReduce },
+		}}, "strategy filters"},
+	} {
+		opts := DefaultOptions()
+		opts.Topology = &cl
+		opts.Pipeline = &PipelineSpec{}
+		opts.Search = tc.search
+		_, err := Partition(m.G, int64(cl.NumGPUs()), opts)
+		if err == nil || !strings.Contains(err.Error(), "does not compose") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want a %q composition error", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestSummarySearchSpaceMatchesCoarsen: the Summary's coarsened-graph size
 // (reported by the search's own stats on flat and topology-aware searches,
 // coarsened in core on the pipeline branch) equals coarsening the graph
@@ -140,7 +177,7 @@ func TestSummarySearchSpaceMatchesCoarsen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := sim.Cluster4x2x8Topology()
+	cl := topo.Cluster4x2x8Topology()
 	topoOpts := DefaultOptions()
 	topoOpts.Topology = &cl
 	pipeOpts := topoOpts

@@ -48,7 +48,28 @@ type Problem struct {
 	// Shapes maps tensor ID to its current shape at this recursive step;
 	// it gates which dimensions may still be cut.
 	Shapes map[int]shape.Shape
-	DType  shape.DType
+	Settings
+	// Reuse, if non-nil, carries prepared slot evaluators between
+	// consecutive Solve calls over the same Coarse (the recursive driver's
+	// factor steps). A slot's evaluator — its restricted pricing and dense
+	// cost table — is reused when the step's K matches, its touched
+	// variables' alphabets are unchanged and every surviving strategy still
+	// passes the current-shape gate. That test is sound because shapes only
+	// shrink across steps and the factors are prime, so a once-dropped
+	// strategy can never become applicable again (K prime dividing ext/m
+	// implies K divides ext). Callers must keep Coarse, DType and
+	// StrategyFilter fixed across the Solves sharing one Reuse.
+	Reuse *EvalReuse
+}
+
+// Settings are the search knobs shared by every layer above the DP:
+// recursive.Options, hybrid.Options (and through recursive.Options,
+// core.Options.Search) embed them and hand them down whole, so a layer
+// cannot silently drop one. Only Trace changes on the way down — each
+// factor step or segment records under its own span (WithTrace).
+type Settings struct {
+	// DType prices communication (zero value = float32, as everywhere).
+	DType shape.DType
 	// StrategyFilter, if non-nil, restricts the operator strategies the
 	// search may use (the ICML18 baseline drops output reduction).
 	StrategyFilter func(partition.Strategy) bool
@@ -67,30 +88,31 @@ type Problem struct {
 	Parallelism int
 	// Cache, if non-nil, memoizes priced strategy enumerations across Solve
 	// calls — across recursive factor steps and across baseline variants
-	// over the same model (see PriceCache).
+	// over the same model (see PriceCache). The recursive and hybrid
+	// searches default a nil Cache to one fresh cache per Partition call,
+	// which still deduplicates pricing across that search's steps.
 	Cache *PriceCache
-	// Reuse, if non-nil, carries prepared slot evaluators between
-	// consecutive Solve calls over the same Coarse (the recursive driver's
-	// factor steps). A slot's evaluator — its restricted pricing and dense
-	// cost table — is reused when the step's K matches, its touched
-	// variables' alphabets are unchanged and every surviving strategy still
-	// passes the current-shape gate. That test is sound because shapes only
-	// shrink across steps and the factors are prime, so a once-dropped
-	// strategy can never become applicable again (K prime dividing ext/m
-	// implies K divides ext). Callers must keep Coarse, DType and
-	// StrategyFilter fixed across the Solves sharing one Reuse.
-	Reuse *EvalReuse
-	// Trace, if non-nil, records a "dp.solve" span (with a nested
-	// "dp.pricing" span for slot-evaluator preparation) under the given
-	// parent. A nil Trace — the default — is a strict no-op: spans never
-	// influence the sweep, so plans stay byte-identical either way.
+	// Trace, if non-nil, records the search's span tree under the given
+	// parent: "dp.solve" (with a nested "dp.pricing" span for slot-evaluator
+	// preparation) here, and "coarsen", "recursive.step", "order.search"
+	// and "hybrid.level"/"hybrid.segment" spans in the layers above. A nil
+	// Trace — the default — is a strict no-op: spans never influence the
+	// search, so plans stay byte-identical either way.
 	Trace *obs.Span
-	// Cancel, if non-nil, is polled once per group sweep; a tripped token
-	// aborts Solve with its reason. The DP has no incumbent to degrade to —
-	// a partial frontier is not a plan — so cancellation here is an error
-	// the recursive layer above turns into its own best incumbent. A nil
-	// token (the default) costs one pointer comparison per group.
+	// Cancel, if non-nil, is polled once per DP group sweep and at every
+	// factor step and branch-and-bound expansion above. A tripped token
+	// aborts Solve with its reason — a partial frontier is not a plan —
+	// while the ordering and hybrid searches return their best incumbent
+	// marked plan.Degraded (the anytime contract), or the reason when
+	// nothing completed. A nil token (the default) costs one pointer
+	// comparison per poll.
 	Cancel *cancel.Token
+}
+
+// WithTrace returns a copy of s that records under sp.
+func (s Settings) WithTrace(sp *obs.Span) Settings {
+	s.Trace = sp
+	return s
 }
 
 // EvalReuse is the cross-step evaluator carrier; see Problem.Reuse.

@@ -21,7 +21,7 @@ func problemFor(t *testing.T, m *models.Model, k int64) *Problem {
 	for _, ten := range m.G.Tensors {
 		shapes[ten.ID] = ten.Shape.Clone()
 	}
-	return &Problem{Coarse: c, K: k, Shapes: shapes, DType: shape.Float32}
+	return &Problem{Coarse: c, K: k, Shapes: shapes, Settings: Settings{DType: shape.Float32}}
 }
 
 func TestSolveBasics(t *testing.T) {

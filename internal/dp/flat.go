@@ -103,8 +103,7 @@ func SolveFlat(p *Problem, factors []int64, budget time.Duration) (*FlatReport, 
 			levelEvals[li] = ss
 			continue
 		}
-		sub := &Problem{Coarse: c, K: k, Shapes: p.Shapes, DType: p.DType,
-			StrategyFilter: p.StrategyFilter, Parallelism: p.Parallelism, Cache: p.Cache}
+		sub := &Problem{Coarse: c, K: k, Shapes: p.Shapes, Settings: p.Settings}
 		ss, err := prepareSlotEvals(sub)
 		if err != nil {
 			return nil, err

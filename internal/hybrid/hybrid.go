@@ -28,9 +28,7 @@ import (
 	"tofu/internal/dp"
 	"tofu/internal/graph"
 	"tofu/internal/graphgen"
-	"tofu/internal/obs"
 	"tofu/internal/plan"
-	"tofu/internal/shape"
 	"tofu/internal/topo"
 )
 
@@ -44,37 +42,24 @@ type Options struct {
 	// (1..len(Levels)-1). 0 searches every candidate level and keeps the
 	// cheapest (ties to the innermost).
 	Level int
-	// DType prices communication (zero value = float32, as everywhere).
-	DType shape.DType
-	// MaxStates bounds each stage DP's frontier (see dp.Problem.MaxStates).
-	MaxStates int
-	// Parallelism is the per-stage DP worker count; the chosen plan is
-	// byte-identical at any setting (the boundary search itself is serial
-	// and deterministic).
-	Parallelism int
+	// Settings are handed to every segment's recursive search, which
+	// records its tree under a per-segment "hybrid.segment" span; the
+	// boundary search itself is serial and deterministic, so the chosen plan
+	// is byte-identical at any Parallelism. Cache (nil = one fresh cache
+	// for this search) is shared across segments and stages. Cancel is
+	// also polled at every boundary-tree node: on a tripped token the
+	// search returns its best incumbent (the balanced seed counts) marked
+	// plan.Degraded, or the token's reason when nothing completed.
+	// StrategyFilter must be nil — stage plans use the full strategy set.
+	dp.Settings
 	// Gen configures the per-stage execution structures (Sec 6 toggles).
 	Gen graphgen.Options
-	// Cache shares priced strategy enumerations across segments and stages
-	// (nil = one fresh cache for this search; segments still share it).
-	Cache *dp.PriceCache
 	// Exhaustive disables the branch-and-bound pruning and enumerates every
 	// boundary set in lexicographic order — the differential-test oracle.
 	// Chosen plans are byte-identical either way.
 	Exhaustive bool
 	// Stats, when non-nil, receives the search-effort counters.
 	Stats *Stats
-	// Trace, if non-nil, records the joint search's span tree: "coarsen",
-	// per-candidate-level "hybrid.level" spans, and under each a
-	// "hybrid.segment" span per memoized segment solve (wrapping that
-	// segment's full recursive search). nil records nothing and costs
-	// nothing; spans never influence the chosen plan.
-	Trace *obs.Span
-	// Cancel, if non-nil, is polled at every boundary-tree node and plumbed
-	// into each segment's recursive search. On a tripped token the search
-	// returns its best incumbent (the balanced seed counts) marked
-	// plan.Degraded, or the token's reason when nothing completed. nil (the
-	// default) costs a pointer comparison per poll.
-	Cancel *cancel.Token
 }
 
 // Stats reports the joint search's effort.
@@ -167,6 +152,9 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("hybrid: stage level %d out of range [1, %d] (0 = auto)",
 			opts.Level, len(tp.Levels)-1)
 	}
+	if opts.StrategyFilter != nil {
+		return nil, fmt.Errorf("hybrid: pipeline search does not compose with strategy filters")
+	}
 	csp := opts.Trace.Child("coarsen")
 	c, err := coarsen.Coarsen(g)
 	if err != nil {
@@ -177,12 +165,10 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Result, error) {
 	if len(c.Groups) < 2 {
 		return nil, fmt.Errorf("hybrid: graph coarsens to %d group(s); pipelining needs at least 2", len(c.Groups))
 	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = dp.NewPriceCache()
+	if opts.Cache == nil {
+		opts.Cache = dp.NewPriceCache()
 	}
-	s := &search{g: g, c: c, tp: *tp, opts: opts, cache: cache,
-		subs: make(map[segKey]*graph.Subgraphed)}
+	s := &search{g: g, c: c, tp: *tp, opts: opts, subs: make(map[segKey]*graph.Subgraphed)}
 	s.buildGroupOf()
 	s.buildHandoffs()
 
@@ -246,11 +232,10 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Result, error) {
 
 // search holds the level-independent state of one Partition call.
 type search struct {
-	g     *graph.Graph
-	c     *coarsen.Coarse
-	tp    topo.Topology
-	opts  Options
-	cache *dp.PriceCache
+	g    *graph.Graph
+	c    *coarsen.Coarse
+	tp   topo.Topology
+	opts Options
 
 	// groupOf maps full-graph node ID to its coarsened group index.
 	groupOf []int

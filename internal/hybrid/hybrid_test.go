@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"tofu/internal/dp"
 	"tofu/internal/hybrid"
 	"tofu/internal/models"
+	"tofu/internal/partition"
 	"tofu/internal/plan"
 	"tofu/internal/topo"
 )
@@ -51,7 +53,10 @@ func TestHybridMatchesOracle(t *testing.T) {
 		}
 		k := int64(tp.NumGPUs())
 		oracle, err := hybrid.Partition(m.G, k, hybrid.Options{
-			Topology: &tp, Level: c.level, Parallelism: 1, Exhaustive: true,
+			Topology:   &tp,
+			Level:      c.level,
+			Settings:   dp.Settings{Parallelism: 1},
+			Exhaustive: true,
 		})
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", c.prof, err)
@@ -60,7 +65,10 @@ func TestHybridMatchesOracle(t *testing.T) {
 		for _, par := range []int{1, 2, 8} {
 			var st hybrid.Stats
 			res, err := hybrid.Partition(m.G, k, hybrid.Options{
-				Topology: &tp, Level: c.level, Parallelism: par, Stats: &st,
+				Topology: &tp,
+				Level:    c.level,
+				Settings: dp.Settings{Parallelism: par},
+				Stats:    &st,
 			})
 			if err != nil {
 				t.Fatalf("%s par %d: %v", c.prof, par, err)
@@ -102,7 +110,10 @@ func TestHybridPruningFloor(t *testing.T) {
 		}
 		var st hybrid.Stats
 		if _, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{
-			Topology: &tp, Level: c.level, Parallelism: 1, Stats: &st,
+			Topology: &tp,
+			Level:    c.level,
+			Settings: dp.Settings{Parallelism: 1},
+			Stats:    &st,
 		}); err != nil {
 			t.Fatalf("%s: %v", c.prof, err)
 		}
@@ -127,7 +138,7 @@ func TestHybridPlanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Parallelism: 1})
+	res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Settings: dp.Settings{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestHybridStageInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Parallelism: 1})
+	res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Settings: dp.Settings{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,17 +235,22 @@ func TestHybridInfeasible(t *testing.T) {
 	}
 	// Level 1 wants 16 stages; mlp-4 coarsens to 15 groups.
 	if _, err := hybrid.Partition(m.G, int64(deep.NumGPUs()), hybrid.Options{
-		Topology: &deep, Level: 1, Parallelism: 1,
+		Topology: &deep,
+		Level:    1,
+		Settings: dp.Settings{Parallelism: 1},
 	}); err == nil || !strings.Contains(err.Error(), "stages exceed") {
 		t.Errorf("oversubscribed level: got %v", err)
 	}
 	if _, err := hybrid.Partition(m.G, int64(deep.NumGPUs()), hybrid.Options{
-		Topology: &deep, Level: len(deep.Levels), Parallelism: 1,
+		Topology: &deep,
+		Level:    len(deep.Levels),
+		Settings: dp.Settings{Parallelism: 1},
 	}); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range level: got %v", err)
 	}
 	if _, err := hybrid.Partition(m.G, int64(deep.NumGPUs())*2, hybrid.Options{
-		Topology: &deep, Parallelism: 1,
+		Topology: &deep,
+		Settings: dp.Settings{Parallelism: 1},
 	}); err == nil || !strings.Contains(err.Error(), "want") {
 		t.Errorf("worker mismatch: got %v", err)
 	}
@@ -243,11 +259,19 @@ func TestHybridInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := hybrid.Partition(m.G, int64(flat.NumGPUs()), hybrid.Options{
-		Topology: &flat, Parallelism: 1,
+		Topology: &flat,
+		Settings: dp.Settings{Parallelism: 1},
 	}); err == nil || !strings.Contains(err.Error(), "flat") {
 		t.Errorf("flat machine: got %v", err)
 	}
-	if _, err := hybrid.Partition(m.G, int64(deep.NumGPUs()), hybrid.Options{Parallelism: 1}); err == nil {
+	if _, err := hybrid.Partition(m.G, int64(deep.NumGPUs()), hybrid.Options{Settings: dp.Settings{Parallelism: 1}}); err == nil {
 		t.Error("nil topology accepted")
+	}
+	noReduce := func(st partition.Strategy) bool { return st.Kind != partition.SplitReduce }
+	if _, err := hybrid.Partition(m.G, int64(deep.NumGPUs()), hybrid.Options{
+		Topology: &deep,
+		Settings: dp.Settings{Parallelism: 1, StrategyFilter: noReduce},
+	}); err == nil || !strings.Contains(err.Error(), "does not compose with strategy filters") {
+		t.Errorf("strategy filter: got %v", err)
 	}
 }

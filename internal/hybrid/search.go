@@ -153,15 +153,7 @@ func (ls *levelState) groupFloor(g int) (float64, error) {
 			lb, ok := perF[f]
 			if !ok {
 				ls.s.stats.LBQueries++
-				lb, err = dp.LowerBound(&dp.Problem{
-					Coarse:      co,
-					K:           f,
-					Shapes:      shapes,
-					DType:       ls.s.opts.DType,
-					MaxStates:   ls.s.opts.MaxStates,
-					Parallelism: ls.s.opts.Parallelism,
-					Cache:       ls.s.cache,
-				}, &reuse)
+				lb, err = dp.LowerBound(&dp.Problem{Coarse: co, K: f, Shapes: shapes, Settings: ls.s.opts.Settings}, &reuse)
 				if err != nil {
 					return math.Inf(1), fmt.Errorf("group %d cannot split %d ways: %w", g, f, err)
 				}
@@ -196,14 +188,9 @@ func (ls *levelState) segment(lo, hi int) *segment {
 	defer ssp.End()
 	var inner recursive.SearchStats
 	p, err := recursive.Partition(sub.G, ls.kSub, recursive.Options{
-		DType:       ls.s.opts.DType,
-		MaxStates:   ls.s.opts.MaxStates,
-		Parallelism: ls.s.opts.Parallelism,
-		Cache:       ls.s.cache,
-		Topology:    &ls.subTopo,
-		Stats:       &inner,
-		Trace:       ssp,
-		Cancel:      ls.s.opts.Cancel,
+		Settings: ls.s.opts.WithTrace(ssp),
+		Topology: &ls.subTopo,
+		Stats:    &inner,
 	})
 	if ls.subTopo.Hierarchical() {
 		ls.s.stats.DPSolves = satAdd(ls.s.stats.DPSolves, int64(inner.DPSolves))

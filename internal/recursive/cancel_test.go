@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tofu/internal/cancel"
+	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/topo"
 )
@@ -24,7 +25,7 @@ const (
 func cancelRun(t *testing.T, m *models.Model, tp topo.Topology, par, polls int) (int, []byte) {
 	t.Helper()
 	tok := cancel.AfterPolls(int64(polls))
-	p, err := Partition(m.G, int64(tp.NumGPUs()), Options{Parallelism: par, Topology: &tp, Cancel: tok})
+	p, err := Partition(m.G, int64(tp.NumGPUs()), Options{Settings: dp.Settings{Parallelism: par, Cancel: tok}, Topology: &tp})
 	if err != nil {
 		if !cancel.IsCancellation(err) {
 			t.Fatalf("polls=%d: non-cancellation error: %v", polls, err)
@@ -139,7 +140,7 @@ func TestCancelledBeforeIncumbentIsCancellation(t *testing.T) {
 	}
 	tp := topo.Cluster2x8Topology()
 	tok := cancel.AfterPolls(1)
-	_, err = Partition(m.G, int64(tp.NumGPUs()), Options{Parallelism: 1, Topology: &tp, Cancel: tok})
+	_, err = Partition(m.G, int64(tp.NumGPUs()), Options{Settings: dp.Settings{Parallelism: 1, Cancel: tok}, Topology: &tp})
 	if err == nil {
 		t.Fatal("first-poll cancellation returned a plan")
 	}
@@ -157,7 +158,7 @@ func TestNilTokenIsFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := planJSON(t, m, 8, 1, nil)
-	p, err := Partition(m.G, 8, Options{Parallelism: 1, Cancel: nil})
+	p, err := Partition(m.G, 8, Options{Settings: dp.Settings{Parallelism: 1, Cancel: nil}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func planJSON(t *testing.T, m *models.Model, k int64, par int, cache *dp.PriceCa
 // planJSONBeam is planJSON with a beam bound on the DP frontier.
 func planJSONBeam(t *testing.T, m *models.Model, k int64, par int, cache *dp.PriceCache, maxStates int) []byte {
 	t.Helper()
-	p, err := Partition(m.G, k, Options{Parallelism: par, Cache: cache, MaxStates: maxStates})
+	p, err := Partition(m.G, k, Options{Settings: dp.Settings{Parallelism: par, Cache: cache, MaxStates: maxStates}})
 	if err != nil {
 		t.Fatalf("parallelism %d: %v", par, err)
 	}

@@ -144,12 +144,11 @@ type obNode struct {
 
 // orderSearch carries one branch-and-bound run.
 type orderSearch struct {
-	g     *graph.Graph
-	c     *coarsen.Coarse
-	k     int64
-	tp    topo.Topology
-	opts  Options
-	cache *dp.PriceCache
+	g    *graph.Graph
+	c    *coarsen.Coarse
+	k    int64
+	tp   topo.Topology
+	opts Options
 
 	// uniq/counts are the distinct (factor, level) pairs in canonical order
 	// (level ascending, factor descending — the flat enumeration's order)
@@ -200,10 +199,10 @@ func (c *errCollector) add(err error) {
 }
 
 func newOrderSearch(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
-	opts Options, cache *dp.PriceCache, pool []factorLevel) *orderSearch {
+	opts Options, pool []factorLevel) *orderSearch {
 
 	s := &orderSearch{
-		g: g, c: c, k: k, tp: tp, opts: opts, cache: cache,
+		g: g, c: c, k: k, tp: tp, opts: opts,
 		prefixes: map[string]*prefixState{},
 	}
 	// pool arrives in canonical order (topoPool); collapse runs into
@@ -298,19 +297,8 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 		ps.err = err
 		return
 	}
-	res, err := dp.Solve(&dp.Problem{
-		Coarse:         s.c,
-		K:              ps.factor,
-		Shapes:         par.shapes,
-		DType:          s.opts.DType,
-		StrategyFilter: s.opts.StrategyFilter,
-		MaxStates:      s.opts.MaxStates,
-		Parallelism:    s.opts.Parallelism,
-		Cache:          s.cache,
-		Reuse:          reuse,
-		Trace:          st,
-		Cancel:         s.opts.Cancel,
-	})
+	res, err := dp.Solve(&dp.Problem{Coarse: s.c, K: ps.factor, Shapes: par.shapes,
+		Settings: s.opts.WithTrace(st), Reuse: reuse})
 	if err != nil {
 		ps.err = err
 		return
@@ -350,16 +338,8 @@ func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64) (float64, *dp.Eval
 	ps.lbMu.Unlock()
 	q.once.Do(func() {
 		q.reuse = &dp.EvalReuse{}
-		q.delta, q.err = dp.LowerBound(&dp.Problem{
-			Coarse:         s.c,
-			K:              f,
-			Shapes:         ps.shapes,
-			DType:          s.opts.DType,
-			StrategyFilter: s.opts.StrategyFilter,
-			MaxStates:      s.opts.MaxStates,
-			Parallelism:    s.opts.Parallelism,
-			Cache:          s.cache,
-		}, q.reuse)
+		q.delta, q.err = dp.LowerBound(&dp.Problem{Coarse: s.c, K: f, Shapes: ps.shapes,
+			Settings: s.opts.Settings}, q.reuse)
 		s.mu.Lock()
 		s.stats.LBQueries++
 		s.mu.Unlock()

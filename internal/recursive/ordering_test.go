@@ -81,7 +81,7 @@ func TestOrderingDifferentialByteIdentical(t *testing.T) {
 		refJSON := planBytes(t, ref)
 		for _, par := range []int{1, 2, 8} {
 			var st SearchStats
-			p, err := Partition(m.G, k, Options{Topology: &c.tp, Parallelism: par, Stats: &st})
+			p, err := Partition(m.G, k, Options{Topology: &c.tp, Settings: dp.Settings{Parallelism: par}, Stats: &st})
 			if err != nil {
 				t.Fatalf("%s/%s par=%d: %v", c.tp.Name, c.cfg, par, err)
 			}
@@ -119,11 +119,11 @@ func TestOrderingDifferentialBeam(t *testing.T) {
 		}
 		k := int64(tp.NumGPUs())
 		for _, maxStates := range []int{4, 64} {
-			ref, err := Partition(m.G, k, Options{Topology: &tp, TopoExhaustive: true, MaxStates: maxStates})
+			ref, err := Partition(m.G, k, Options{Topology: &tp, TopoExhaustive: true, Settings: dp.Settings{MaxStates: maxStates}})
 			if err != nil {
 				t.Fatalf("%s maxStates=%d: exhaustive: %v", prof, maxStates, err)
 			}
-			p, err := Partition(m.G, k, Options{Topology: &tp, MaxStates: maxStates})
+			p, err := Partition(m.G, k, Options{Topology: &tp, Settings: dp.Settings{MaxStates: maxStates}})
 			if err != nil {
 				t.Fatalf("%s maxStates=%d: %v", prof, maxStates, err)
 			}
@@ -247,7 +247,10 @@ func TestLowerBoundAdmissible(t *testing.T) {
 				prefixShapes[i][id] = append(shape.Shape(nil), s...)
 			}
 			res, err := dp.Solve(&dp.Problem{
-				Coarse: c, K: ord[i].f, Shapes: shapes, Cache: cache,
+				Coarse:   c,
+				K:        ord[i].f,
+				Shapes:   shapes,
+				Settings: dp.Settings{Cache: cache},
 			})
 			if err != nil {
 				t.Fatalf("ordering %v step %d: %v", ord, i, err)
@@ -267,7 +270,10 @@ func TestLowerBoundAdmissible(t *testing.T) {
 		for i := range ord {
 			for j := i; j < len(ord); j++ {
 				lb, err := dp.LowerBound(&dp.Problem{
-					Coarse: c, K: ord[j].f, Shapes: prefixShapes[i], Cache: cache,
+					Coarse:   c,
+					K:        ord[j].f,
+					Shapes:   prefixShapes[i],
+					Settings: dp.Settings{Cache: cache},
 				}, nil)
 				if err != nil {
 					t.Fatalf("ordering %v prefix %d: bound for %d: %v", ord, i, ord[j].f, err)
@@ -398,7 +404,7 @@ func TestOrderingSearchSupersedesBlockFallback(t *testing.T) {
 			factors[i] = fl.f
 			levels[i] = fl.level
 		}
-		pb, err := runSteps(m.G, c, k, factors, levels, Options{}, cache, nil)
+		pb, err := runSteps(m.G, c, k, factors, levels, Options{Settings: dp.Settings{Cache: cache}}, nil)
 		if err != nil {
 			continue
 		}

@@ -17,8 +17,6 @@ import (
 	"tofu/internal/coarsen"
 	"tofu/internal/dp"
 	"tofu/internal/graph"
-	"tofu/internal/obs"
-	"tofu/internal/partition"
 	"tofu/internal/plan"
 	"tofu/internal/shape"
 	"tofu/internal/topo"
@@ -26,27 +24,15 @@ import (
 
 // Options tune the search.
 type Options struct {
-	// StrategyFilter restricts operator strategies (ICML18 baseline drops
-	// output reduction).
-	StrategyFilter func(partition.Strategy) bool
+	// Settings are handed to every step's dp.Solve: each factor step
+	// records a "recursive.step" span under Trace, and Cancel is also
+	// polled at every step and branch-and-bound expansion (topology-aware
+	// engines degrade to their best incumbent; a flat single-chain search,
+	// which has nothing partial to return, fails with the token's reason).
+	dp.Settings
 	// Factors overrides the factorization of K (EqualChop uses a single
 	// K-way step).
 	Factors []int64
-	// DType prices communication; the benchmarks are all float32.
-	DType shape.DType
-	// MaxStates bounds the DP frontier per step (0 = exact search). See
-	// dp.Problem.MaxStates; useful for high-cutwidth graphs such as
-	// attention blocks.
-	MaxStates int
-	// Parallelism is the worker-goroutine count for each step's DP sweep
-	// and pricing (0 = runtime.GOMAXPROCS(0), 1 = serial). The chosen plan
-	// is byte-identical for every setting (see dp.Problem.Parallelism).
-	Parallelism int
-	// Cache reuses priced strategy enumerations across the recursive factor
-	// steps and — when shared by the caller — across searches over the same
-	// model (nil = one fresh cache per Partition call, which still
-	// deduplicates pricing across this search's steps).
-	Cache *dp.PriceCache
 	// Topology switches the search into topology-driven mode on hierarchical
 	// machines: the factor sequence is derived from the level group sizes,
 	// every candidate factor-to-level ordering is searched, each step's DP
@@ -84,20 +70,6 @@ type Options struct {
 	// Partition call) and the ordering-search effort counters (topology-aware
 	// calls only; zero in flat mode).
 	Stats *SearchStats
-	// Trace, if non-nil, records the search's span tree under the given
-	// parent: "coarsen", per-factor "recursive.step" spans (each wrapping
-	// its dp.Solve), and in topology-aware mode the "order.search" tree
-	// with per-prefix expansion and prune spans. nil (the default) records
-	// nothing and costs nothing; spans never influence the chosen plan.
-	Trace *obs.Span
-	// Cancel, if non-nil, is polled at every factor step and
-	// branch-and-bound expansion. When it trips, the topology-aware
-	// engines return their best incumbent marked plan.Degraded (the
-	// anytime contract); a search with no incumbent yet — including every
-	// flat single-chain search, which has nothing partial to return —
-	// fails with the token's reason instead. nil (the default) is a
-	// pointer comparison per poll and leaves plans byte-identical.
-	Cancel *cancel.Token
 }
 
 // Partition searches for the best partition plan of a training graph across
@@ -140,15 +112,14 @@ func Partition(g *graph.Graph, k int64, opts Options) (*plan.Plan, error) {
 	}
 	csp.SetInt("groups", int64(len(c.Groups)))
 	csp.End()
-	cache := opts.Cache
-	if cache == nil {
-		cache = dp.NewPriceCache()
+	if opts.Cache == nil {
+		opts.Cache = dp.NewPriceCache()
 	}
 	var p *plan.Plan
 	if topoSearch {
-		p, err = partitionTopo(g, c, k, *opts.Topology, opts, cache)
+		p, err = partitionTopo(g, c, k, *opts.Topology, opts)
 	} else {
-		p, err = runSteps(g, c, k, factors, nil, opts, cache, nil)
+		p, err = runSteps(g, c, k, factors, nil, opts, nil)
 		if err == nil && opts.Topology != nil {
 			// Explicit-factor searches (EqualChop's single chop) still run on
 			// the real machine: annotate the topology-blind layout.
@@ -167,7 +138,7 @@ func Partition(g *graph.Graph, k int64, opts Options) (*plan.Plan, error) {
 // level its communication crosses. nSolves, when non-nil, counts the DP
 // executions (the flat enumeration's search-effort metric).
 func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, levels []int,
-	opts Options, cache *dp.PriceCache, nSolves *int) (*plan.Plan, error) {
+	opts Options, nSolves *int) (*plan.Plan, error) {
 
 	// Current (progressively divided) shape of every tensor — clones carved
 	// out of one slab, owned by this search and divided in place below.
@@ -201,19 +172,7 @@ func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, level
 		if levels != nil {
 			st.SetInt("level", int64(levels[i]))
 		}
-		res, err := dp.Solve(&dp.Problem{
-			Coarse:         c,
-			K:              ki,
-			Shapes:         shapes,
-			DType:          opts.DType,
-			StrategyFilter: opts.StrategyFilter,
-			MaxStates:      opts.MaxStates,
-			Parallelism:    opts.Parallelism,
-			Cache:          cache,
-			Reuse:          reuse,
-			Trace:          st,
-			Cancel:         opts.Cancel,
-		})
+		res, err := dp.Solve(&dp.Problem{Coarse: c, K: ki, Shapes: shapes, Settings: opts.WithTrace(st), Reuse: reuse})
 		st.End()
 		if err != nil {
 			return nil, fmt.Errorf("recursive: step %d (x%d): %w", len(p.Steps)+1, ki, err)
@@ -270,12 +229,10 @@ type factorLevel struct {
 // layout and TopoExhaustive the flat one-DP-run-per-ordering enumeration,
 // both of which choose byte-identical plans to the tree wherever they
 // apply.
-func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
-	opts Options, cache *dp.PriceCache) (*plan.Plan, error) {
-
+func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology, opts Options) (*plan.Plan, error) {
 	pool := topoPool(tp)
 	if opts.TopologyNaive || len(pool) <= 1 {
-		return partitionTopoFlat(g, c, k, tp, opts, cache)
+		return partitionTopoFlat(g, c, k, tp, opts)
 	}
 	// Fail loudly on pathological machines instead of searching for hours
 	// (or, as the retired 96-ordering cap did, silently truncating the
@@ -287,9 +244,9 @@ func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
 			tp.Name, maxOrderingSpace)
 	}
 	if opts.TopoExhaustive {
-		return partitionTopoFlat(g, c, k, tp, opts, cache)
+		return partitionTopoFlat(g, c, k, tp, opts)
 	}
-	return newOrderSearch(g, c, k, tp, opts, cache, pool).run()
+	return newOrderSearch(g, c, k, tp, opts, pool).run()
 }
 
 // partitionTopoFlat is the pre-branch-and-bound search: enumerate every
@@ -297,9 +254,7 @@ func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
 // orderings drop out of the search, but their distinct reasons are
 // aggregated so a fully infeasible topology reports every way it failed,
 // not just the first.
-func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
-	opts Options, cache *dp.PriceCache) (*plan.Plan, error) {
-
+func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology, opts Options) (*plan.Plan, error) {
 	orderings := topoOrderings(tp, opts.TopologyNaive)
 	var (
 		best     *plan.Plan
@@ -323,7 +278,7 @@ func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topol
 			levels[i] = fl.level
 		}
 		stats.FlatDPSolves += len(ord)
-		p, err := runSteps(g, c, k, factors, levels, opts, cache, &stats.DPSolves)
+		p, err := runSteps(g, c, k, factors, levels, opts, &stats.DPSolves)
 		if err != nil {
 			if cancel.IsCancellation(err) {
 				// A cancelled chain is not an infeasible one: keep it out of
@@ -365,10 +320,10 @@ func CommTime(p *plan.Plan, tp topo.Topology) float64 {
 
 // weightedComm is the topology objective: per-step communication divided by
 // the bandwidth of the level it crosses — a time, not a byte count.
-func weightedComm(p *plan.Plan, topo topo.Topology) float64 {
+func weightedComm(p *plan.Plan, tp topo.Topology) float64 {
 	t := 0.0
 	for _, s := range p.Steps {
-		t += s.CommBytes / topo.LevelBandwidth(s.Level)
+		t += s.CommBytes / tp.LevelBandwidth(s.Level)
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package recursive
 import (
 	"testing"
 
+	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/partition"
 	"tofu/internal/shape"
@@ -130,7 +131,9 @@ func TestOutputReductionFilterRaisesCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	restricted, err := Partition(m.G, 2, Options{
-		StrategyFilter: func(s partition.Strategy) bool { return s.Kind != partition.SplitReduce },
+		Settings: dp.Settings{
+			StrategyFilter: func(s partition.Strategy) bool { return s.Kind != partition.SplitReduce },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

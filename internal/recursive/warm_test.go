@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/topo"
@@ -133,7 +134,7 @@ func TestWarmStartByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := int64(c.tp.NumGPUs())
-		cold, err := Partition(m.G, k, Options{Topology: &c.tp, Parallelism: 1})
+		cold, err := Partition(m.G, k, Options{Topology: &c.tp, Settings: dp.Settings{Parallelism: 1}})
 		if err != nil {
 			t.Fatalf("%s/%s: cold: %v", c.tp.Name, c.cfg, err)
 		}
@@ -159,7 +160,10 @@ func TestWarmStartByteIdentical(t *testing.T) {
 			for _, par := range []int{1, 2, 8} {
 				var st SearchStats
 				p, err := Partition(m.G, k, Options{
-					Topology: &c.tp, Parallelism: par, Stats: &st, WarmStart: seed.steps,
+					Topology:  &c.tp,
+					Settings:  dp.Settings{Parallelism: par},
+					Stats:     &st,
+					WarmStart: seed.steps,
 				})
 				if err != nil {
 					t.Fatalf("%s/%s seed=%s par=%d: %v", c.tp.Name, c.cfg, seed.name, par, err)
@@ -211,13 +215,15 @@ func TestWarmStartSearchEffort(t *testing.T) {
 		}
 		k := int64(tp.NumGPUs())
 		var cold SearchStats
-		p, err := Partition(m.G, k, Options{Topology: &tp, Parallelism: 1, Stats: &cold})
+		p, err := Partition(m.G, k, Options{Topology: &tp, Settings: dp.Settings{Parallelism: 1}, Stats: &cold})
 		if err != nil {
 			t.Fatalf("%s: cold: %v", c.prof, err)
 		}
 		var warm SearchStats
 		_, err = Partition(m.G, k, Options{
-			Topology: &tp, Parallelism: 1, Stats: &warm,
+			Topology:  &tp,
+			Settings:  dp.Settings{Parallelism: 1},
+			Stats:     &warm,
 			WarmStart: WarmOrderFromSteps(tp, warmSteps(p)),
 		})
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,6 +152,11 @@ func TestDeadlineAdmission503(t *testing.T) {
 			return degradedExportOptimal(t, 8), nil
 		},
 	})
+	// Cleanups run last in, first out: release the wedged searches, wait
+	// for the saturating POSTs to finish, and only then let startServer's
+	// cleanup close the server under them.
+	var saturating sync.WaitGroup
+	t.Cleanup(saturating.Wait)
 	t.Cleanup(func() { close(gate) })
 
 	reqBody := func(batch int) string {
@@ -165,8 +171,14 @@ func TestDeadlineAdmission503(t *testing.T) {
 	}
 	// Saturate: one search wedged on the worker plus a queued backlog.
 	for i := 0; i < 4; i++ {
+		saturating.Add(1)
 		go func(i int) {
-			r := postPartition(t, srv.URL, reqBody(4+2*i))
+			defer saturating.Done()
+			r, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(reqBody(4+2*i)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			io.Copy(io.Discard, r.Body) //tofu:allow-errdrop test drain
 			r.Body.Close()
 		}(i)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tofu/internal/dp"
 	"tofu/internal/hybrid"
 	"tofu/internal/memplan"
 	"tofu/internal/models"
@@ -74,7 +75,8 @@ func TestRunPipelineStagesDeterministic(t *testing.T) {
 		var want []byte
 		for _, par := range []int{1, 2, 8} {
 			res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{
-				Topology: &tp, Parallelism: par,
+				Topology: &tp,
+				Settings: dp.Settings{Parallelism: par},
 			})
 			if err != nil {
 				t.Fatalf("%s par %d: %v", prof, par, err)
@@ -120,7 +122,7 @@ func TestRunPipelineStagesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Parallelism: 1})
+	res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Settings: dp.Settings{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

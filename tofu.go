@@ -39,6 +39,7 @@ import (
 	"tofu/internal/shape"
 	"tofu/internal/sim"
 	"tofu/internal/tdl"
+	"tofu/internal/topo"
 )
 
 // Re-exported core types. Aliases keep the internal packages as the single
@@ -64,12 +65,12 @@ type (
 	Summary = core.Summary
 	// HW describes a flat simulated machine (the per-GPU half of a
 	// Topology, and the single-level compatibility view).
-	HW = sim.HW
+	HW = topo.HW
 	// Topology describes a (possibly hierarchical) simulated machine:
 	// per-GPU parameters plus an ordered interconnect hierarchy.
-	Topology = sim.Topology
+	Topology = topo.Topology
 	// TopologyLevel is one interconnect tier of a Topology.
-	TopologyLevel = sim.Level
+	TopologyLevel = topo.Level
 	// SimResult is one simulated training iteration.
 	SimResult = sim.Result
 	// PipelineSpec requests the joint hybrid-parallelism search via
@@ -291,39 +292,39 @@ func TimelineSummary(tl *Timeline) string { return obs.TimelineSummary(tl) }
 
 // DefaultHW is the simulated p2.8xlarge the evaluation uses, as a flat
 // machine.
-func DefaultHW() HW { return sim.DefaultHW() }
+func DefaultHW() HW { return topo.DefaultHW() }
 
 // DefaultTopology is the same machine as a (single-level) topology.
-func DefaultTopology() Topology { return sim.DefaultTopology() }
+func DefaultTopology() Topology { return topo.DefaultTopology() }
 
 // TopologyProfile returns a machine from the built-in profile library
 // (see TopologyProfiles).
-func TopologyProfile(name string) (Topology, error) { return sim.Profile(name) }
+func TopologyProfile(name string) (Topology, error) { return topo.Profile(name) }
 
 // TopologyProfiles lists the built-in machine profiles.
-func TopologyProfiles() []string { return sim.ProfileNames() }
+func TopologyProfiles() []string { return topo.ProfileNames() }
 
 // LoadTopology reads a user-defined machine from a topology JSON file
 // (write one with Topology.WriteJSON).
-func LoadTopology(path string) (Topology, error) { return sim.LoadTopology(path) }
+func LoadTopology(path string) (Topology, error) { return topo.LoadTopology(path) }
 
 // ResolveTopology interprets a -hw style argument: a built-in profile name
 // or a path to a topology JSON file.
-func ResolveTopology(arg string) (Topology, error) { return sim.ResolveTopology(arg) }
+func ResolveTopology(arg string) (Topology, error) { return topo.ResolveTopology(arg) }
 
 // EvaluateSystem runs one baseline system (or Tofu itself) on a benchmark
 // model configuration — the building block of Figures 8-10 and Table 3.
 // The flat HW is wrapped into a single-level topology; use
 // EvaluateSystemOn for hierarchical machines.
 func EvaluateSystem(cfg ModelConfig, sys System, hw HW) (Outcome, error) {
-	return baselines.Evaluate(cfg, sys, sim.FlatTopology(hw))
+	return baselines.Evaluate(cfg, sys, topo.FlatTopology(hw))
 }
 
 // EvaluateSystemOn is EvaluateSystem on an explicit (possibly hierarchical)
 // machine topology: partition searches become topology-aware and every
 // transfer is priced at the interconnect level it crosses.
-func EvaluateSystemOn(cfg ModelConfig, sys System, topo Topology) (Outcome, error) {
-	return baselines.Evaluate(cfg, sys, topo)
+func EvaluateSystemOn(cfg ModelConfig, sys System, tp Topology) (Outcome, error) {
+	return baselines.Evaluate(cfg, sys, tp)
 }
 
 // DescribeOp starts a TDL description for a custom operator; register the
